@@ -200,7 +200,7 @@ def test_p2_fastpath_speedup_guard(fastpath_pair, report):
             f"{name}: {ratio:.1f}x < {SPEEDUP_FLOOR}x fast-path speedup floor"
         )
 
-    stats = fast_app.stats()["portal"]
+    stats = fast_app.stats()
     cache = stats["response_cache"]
     assert cache["hits"] > 0 and stats["not_modified"] > 0, stats
     hit_rate = cache["hits"] / (cache["hits"] + cache["misses"])

@@ -132,11 +132,17 @@ class RpcRemoteError(BusError):
     remote_type:
         Class name of the exception raised by the remote handler, so the
         caller can map it back onto a local error class.
+    findings:
+        The remote :class:`SpecError`'s findings as ``Finding.as_dict()``
+        dicts (empty for every other error).
     """
 
-    def __init__(self, message: str, remote_type: str = "Exception") -> None:
+    def __init__(
+        self, message: str, remote_type: str = "Exception", findings: list | None = None
+    ) -> None:
         super().__init__(message)
         self.remote_type = remote_type
+        self.findings = list(findings or [])
 
 
 class SpecError(ReproError):

@@ -11,7 +11,7 @@ Envelopes are plain dicts::
 
     request:  {"method", "params", "reply_to", "corr"}
     reply:    {"corr", "ok": result}            on success
-              {"corr", "err": {"type", "message"}}  on handler failure
+              {"corr", "err": {"type", "message"[, "findings"]}}  on handler failure
 
 Handler exceptions are encoded and re-raised client-side as
 :class:`RpcRemoteError` carrying the remote class name, which the portal
@@ -84,6 +84,9 @@ class RpcServer:
             reply["ok"] = handler(req.get("params") or {})
         except Exception as exc:  # noqa: BLE001 - every failure crosses the wire
             reply["err"] = {"type": type(exc).__name__, "message": str(exc)}
+            findings = getattr(exc, "findings", None)  # SpecError's validator findings
+            if findings:
+                reply["err"]["findings"] = [f.as_dict() for f in findings]
             self.errors_returned += 1
         self.requests_served += 1
         reply_to = req.get("reply_to")
@@ -190,6 +193,7 @@ class RpcClient:
             raise RpcRemoteError(
                 err.get("message", "remote error"),
                 remote_type=err.get("type", "Exception"),
+                findings=err.get("findings"),
             )
         return reply.get("ok")
 

@@ -446,6 +446,42 @@ class Job:
             "attempts": [a.as_dict() for a in self.attempts],
         }
 
+    def output_since(self, since: int = 0) -> dict:
+        """Poll stdout from absolute line offset ``since`` (plus a stderr tail)."""
+        out, out_next, out_trunc = self.stdout.read_since(since)
+        return {
+            "state": self._state.value,
+            "stdout": out,
+            "next": out_next,
+            "truncated": out_trunc,
+            # tail() copies just the 50 lines shown, not the whole buffer
+            "stderr_tail": self.stderr.tail(50),
+            "exit_code": self.exit_code,
+            "error": self.error,
+            "attempt": self.attempt_epoch,
+            "retries": max(0, self.attempt_epoch - 1),
+            "attempts": [a.as_dict() for a in self.attempts],
+        }
+
+    def output_fingerprint(self) -> tuple:
+        """Cheap change-detector for :meth:`describe` and :meth:`output_since`.
+
+        Any visible change to either moves at least one of these fields,
+        so the portal keys its response cache on the tuple and serves
+        304s to repeat pollers of a quiet job.
+        """
+        return (
+            self._state.value,
+            self.stdout.next_index,
+            self.stderr.next_index,
+            self.exit_code,
+            # A retry changes the lineage even when the streams are quiet.
+            self.attempt_epoch,
+            len(self.attempts),
+            # sealed after the last attempt is recorded: runtime_s appears
+            self.finished_at,
+        )
+
     # -- durability ------------------------------------------------------------
     @classmethod
     def restore(cls, wire: dict) -> "Job":

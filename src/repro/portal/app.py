@@ -1,4 +1,12 @@
-"""The portal WSGI application: every endpoint, wired.
+"""The portal WSGI application: one request pipeline, every endpoint.
+
+:class:`PortalApp` reaches the cluster only through its *cluster port*
+(``self.port``): a :class:`~repro.bus.local.LocalCluster` when the app
+is built over a :class:`JobService`, or a
+:class:`~repro.bus.proxy.ClusterProxy` when it is a scale-out front-end
+worker (see :mod:`repro.portal.frontend`).  Routes marked ``*`` need the
+home filesystem, toolchains or distributor internals and are registered
+only when the app is built with ``files`` and ``jobsvc``.
 
 JSON API (all under ``/api``; cookie- or bearer-authenticated):
 
@@ -7,18 +15,19 @@ POST        /api/login                         {username, password} → session 
 POST        /api/logout                        end session
 GET         /api/whoami                        current user
 POST        /api/users                         create account (admin)
-GET         /api/files?path=                   directory listing
-GET         /api/files/content?path=           download file
-PUT         /api/files/content?path=           create/overwrite file (raw body)
-POST        /api/files/upload                  multipart upload (fields = files)
-POST        /api/files/mkdir                   {path}
-POST        /api/files/copy                    {src, dst}
-POST        /api/files/move                    {src, dst}
-POST        /api/files/rename                  {path, new_name}
-DELETE      /api/files?path=                   delete file/tree
-POST        /api/compile                       {path[, language]}
-POST        /api/lint                          {path} or {source} — static concurrency lint
-POST        /api/jobs                          {path, kind, n_tasks, ...} compile+lint+run
+GET         /api/files?path=                   * directory listing
+GET         /api/files/content?path=           * download file
+PUT         /api/files/content?path=           * create/overwrite file (raw body)
+POST        /api/files/upload                  * multipart upload (fields = files)
+POST        /api/files/mkdir                   * {path}
+POST        /api/files/copy                    * {src, dst}
+POST        /api/files/move                    * {src, dst}
+POST        /api/files/rename                  * {path, new_name}
+DELETE      /api/files?path=                   * delete file/tree
+POST        /api/compile                       * {path[, language]}
+POST        /api/lint                          * {path} or {source} — static concurrency lint
+POST        /api/jobs                          {path, kind, n_tasks, ...} compile+lint+run;
+                                               without jobsvc: a JobRequest wire spec
 GET         /api/jobs                          this user's jobs
 GET         /api/jobs/<job_id>                 one job
 GET         /api/jobs/<job_id>/output?since=N  poll stdout/stderr
@@ -30,13 +39,16 @@ POST        /api/cluster/validate              collect-all spec validation (alwa
 POST        /api/cluster/reconfigure           {spec[, apply]} — plan / apply (instructor)
 GET         /api/fleet                         elastic-fleet snapshot (pools, pending)
 GET         /metrics                           Prometheus text format (unauthenticated)
-GET         /debug/trace/<job_id>              job span tree (HTML, or ?format=json)
+GET         /debug/trace/<job_id>              * job span tree (HTML, or ?format=json)
 GET         /debug/requests                    recent request traces (admin)
-GET         /debug/events                      structured event log (admin)
+GET         /debug/events                      * structured event log (admin)
 GET         /debug/fleet                       fleet scaling-decision log (admin)
 ==========  =================================  ==========================================
 
-HTML pages: ``GET /`` (dashboard), ``GET/POST /login``, ``POST /logout``.
+Also ``POST /api/password`` and, marked ``*``: ``POST /api/explore``,
+``GET /api/explore/<job_id>``, ``GET /api/cluster/accounting``, ``GET
+/api/quota`` and the HTML pages ``GET /`` (dashboard), ``GET
+/jobs/<job_id>``, ``GET/POST /login``, ``POST /logout``.
 """
 
 from __future__ import annotations
@@ -48,16 +60,20 @@ from typing import Callable, Optional
 from repro._errors import (
     AuthenticationError,
     AuthorizationError,
+    BusError,
     CompilationError,
     FileManagerError,
     JobError,
     PortalError,
     ReproError,
+    RpcTimeout,
     SchedulingError,
     SpecError,
     ToolchainNotFound,
 )
+from repro.bus.local import LocalCluster
 from repro.cluster.distributor import JobDistributor
+from repro.cluster.job import JobRequest
 from repro.portal import templates
 from repro.portal.admission import (
     AdmissionController,
@@ -72,19 +88,24 @@ from repro.portal.jobsvc import JobService
 from repro.portal.respcache import ResponseCache, conditional_get
 from repro.portal.routing import Router
 from repro.portal.sessions import SessionStore
-from repro.spec import Reconfigurer, validate as validate_spec
 from repro.telemetry.export import (
     PROMETHEUS_CONTENT_TYPE,
     render_json,
     render_prometheus,
 )
 from repro.telemetry.instruments import AnalysisTelemetry, PortalTelemetry
+from repro.telemetry.registry import MetricsRegistry
 
 __all__ = ["PortalApp", "make_default_app"]
 
 _COOKIE = "portal_session"
 
+#: first match wins.  Bus failures outrank the generic ReproError → 400:
+#: a back-end that stopped answering is the *portal's* fault, not the
+#: client's — 503 (with ``Retry-After: 1``) tells pollers to back off.
 _ERROR_STATUS: list[tuple[type, int]] = [
+    (RpcTimeout, 503),
+    (BusError, 502),
     (AuthenticationError, 401),
     (AuthorizationError, 403),
     (FileManagerError, 404),
@@ -103,54 +124,73 @@ class PortalApp:
     Parameters
     ----------
     files, users, sessions, jobsvc:
-        The collaborating services. Use :func:`make_default_app` to get a
-        fully assembled portal over a simulated cluster.
+        The collaborating services.  With ``files`` and ``jobsvc`` the app
+        is the full portal over ``jobsvc.distributor``; use
+        :func:`make_default_app` to get one over a simulated cluster.
+    port:
+        Instead of ``jobsvc``: the cluster port of a front-end worker
+        (a :class:`~repro.bus.proxy.ClusterProxy`).  Only the routes that
+        need nothing but the port are served.
     """
 
     def __init__(
         self,
-        files: FileManager,
+        files: Optional[FileManager],
         users: UserStore,
         sessions: SessionStore,
-        jobsvc: JobService,
+        jobsvc: Optional[JobService] = None,
+        port=None,
         cache_size: int = 256,
         registry=None,
         admission: Optional[AdmissionController] = None,
     ) -> None:
+        if (jobsvc is None) == (port is None):
+            raise ValueError("PortalApp needs exactly one of jobsvc or port")
         self.files = files
         self.users = users
         self.sessions = sessions
         self.jobsvc = jobsvc
+        #: the only way to the cluster for every shared route
+        self.port = port if jobsvc is None else LocalCluster(
+            jobsvc.distributor, admission=admission, jobsvc=jobsvc
+        )
         #: front-door admission control; ``None`` admits everything.
         self.admission = admission
         self.router = Router()
         #: conditional-GET response cache; ``cache_size=0`` disables it
         #: (ETags are still emitted, every request renders fresh).
         self.cache = ResponseCache(cache_size)
-        #: shares the distributor's registry by default so ``/metrics``
-        #: serves one unified snapshot of every subsystem.
-        self.registry = (
-            registry if registry is not None else jobsvc.distributor.telemetry.registry
-        )
+        #: the full portal shares the distributor's registry so ``/metrics``
+        #: serves one unified snapshot; a worker owns its own (pass a
+        #: NullRegistry to run it dark).
+        if registry is None:
+            registry = (
+                MetricsRegistry() if jobsvc is None else jobsvc.distributor.telemetry.registry
+            )
+        self.registry = registry
         self.telemetry = PortalTelemetry(self.registry)
-        #: static-analyzer counters; handed to the job service so both
-        #: the explicit lint endpoint and the pre-submit pass are tallied.
-        self.analysis_telemetry = AnalysisTelemetry(self.registry)
-        jobsvc.analysis_telemetry = self.analysis_telemetry
-        #: declarative-spec management: validate / describe / reconfigure
-        self.reconfigurer = Reconfigurer(
-            jobsvc.distributor, admission=admission, jobsvc=jobsvc
-        )
         self.telemetry.bind_router(self.router)
         self.telemetry.bind_sessions(sessions)
         self.cache.bind(self.registry)
         bind_admission(self.registry, admission)
         #: legacy counter key → registry child (same keys as the PR 2 dict).
         self._counters = self.telemetry.c
-        # file mutations invalidate the owning user's cached listings,
-        # file contents and dashboard in O(1)
-        files.on_mutation(lambda username: self.cache.invalidate(f"files:{username}"))
         self._register_routes()
+        if jobsvc is not None:
+            #: static-analyzer counters; handed to the job service so both
+            #: the explicit lint endpoint and the pre-submit pass are tallied.
+            self.analysis_telemetry = AnalysisTelemetry(self.registry)
+            jobsvc.analysis_telemetry = self.analysis_telemetry
+            # file mutations invalidate the owning user's cached listings,
+            # file contents and dashboard in O(1)
+            files.on_mutation(lambda username: self.cache.invalidate(f"files:{username}"))
+            self._register_local_routes()
+
+    @property
+    def proxy(self):
+        """The cluster port under a worker's name for it (``perfbench``
+        wraps each worker's ``ClusterProxy`` calls through this name)."""
+        return self.port
 
     # -- WSGI entry ---------------------------------------------------------
     def __call__(self, environ, start_response):
@@ -182,6 +222,8 @@ class PortalApp:
         except ReproError as exc:
             status = next((s for t, s in _ERROR_STATUS if isinstance(exc, t)), 400)
             response = Response.error(status, str(exc))
+            if status == 503:
+                response.headers.append(("Retry-After", "1"))
         except Exception as exc:  # noqa: BLE001 - last-resort 500
             response = Response.error(500, f"internal error: {type(exc).__name__}: {exc}")
         finally:
@@ -194,23 +236,17 @@ class PortalApp:
 
     # -- observability -------------------------------------------------------
     def stats(self) -> dict:
-        """Portal-side counters, mirroring ``JobDistributor.stats()``.
-
-        The dict shape is the PR 2 contract; the values are now derived
-        from the shared metrics registry (see ``GET /metrics``).
-        """
+        """Portal-side counters, derived from the metrics registry
+        (see ``GET /metrics``)."""
         return {
-            "portal": {
-                **self.telemetry.portal_counters(),
-                **self.router.counters,
-                "response_cache": self.cache.stats(),
-                "active_sessions": len(self.sessions),
-                "admission": (
-                    self.admission.stats()
-                    if self.admission is not None
-                    else {"enabled": False}
-                ),
-            }
+            **self.telemetry.portal_counters(),
+            **self.router.counters,
+            "response_cache": self.cache.stats(),
+            "active_sessions": len(self.sessions),
+            "sessions_replicated_in": self.sessions.replicated_in,
+            "admission": (
+                self.admission.stats() if self.admission is not None else {"enabled": False}
+            ),
         }
 
     # -- conditional-GET plumbing ---------------------------------------------
@@ -219,10 +255,9 @@ class PortalApp:
     ) -> Response:
         """Serve a cacheable GET with an ETag, honouring If-None-Match.
 
-        Delegates to the shared :func:`conditional_get` engine (also
-        used by the scale-out front-ends), which stores misses under the
-        generation observed at probe time so a racing invalidation can
-        never be clobbered by a stale render.
+        Delegates to the :func:`conditional_get` engine, which stores
+        misses under the generation observed at probe time so a racing
+        invalidation can never be clobbered by a stale render.
         """
         return conditional_get(self.cache, self._counters, req, namespace, key, build)
 
@@ -245,12 +280,18 @@ class PortalApp:
         return response
 
     # -- auth middleware -------------------------------------------------------
-    def _authenticate(self, request: Request) -> Optional[User]:
+    @staticmethod
+    def _session_token(request: Request) -> str:
+        """The session token from the cookie, else from ``Authorization: Bearer``."""
         token = request.cookies().get(_COOKIE)
         if not token:
             bearer = request.header("Authorization")
             if bearer.startswith("Bearer "):
                 token = bearer[len("Bearer ") :]
+        return token or ""
+
+    def _authenticate(self, request: Request) -> Optional[User]:
+        token = self._session_token(request)
         if not token:
             return None
         data = self.sessions.peek(token)
@@ -264,8 +305,14 @@ class PortalApp:
             raise AuthenticationError("login required")
         return request.user
 
+    def _job_target(self, request: Request) -> tuple[str, str, bool]:
+        """``(owner, job_id, view_all)``: whose view of which job the port is asked for."""
+        user = self._require_user(request)
+        return user.username, request.params["job_id"], user.can("view_all_jobs")
+
     # -- routes ------------------------------------------------------------------
     def _register_routes(self) -> None:
+        """The routes every portal serves: users, sessions and the cluster port."""
         r = self.router
 
         # --- session ---
@@ -274,6 +321,31 @@ class PortalApp:
         r.add("GET", "/api/whoami", self._api_whoami)
         r.add("POST", "/api/users", self._api_create_user)
         r.add("POST", "/api/password", self._api_change_password)
+
+        # --- jobs ---
+        # bound once: compile+run over the home filesystem, or a wire spec
+        r.add("POST", "/api/jobs", self._api_run if self.jobsvc is not None else self._api_submit)
+        r.add("GET", "/api/jobs", self._api_list_jobs)
+        r.add("GET", "/api/jobs/<job_id>", self._api_get_job)
+        r.add("GET", "/api/jobs/<job_id>/output", self._api_job_output)
+        r.add("POST", "/api/jobs/<job_id>/input", self._api_job_input)
+        r.add("POST", "/api/jobs/<job_id>/cancel", self._api_job_cancel)
+
+        # --- cluster ---
+        r.add("GET", "/api/cluster/status", self._api_cluster_status)
+        r.add("GET", "/api/cluster/spec", self._api_cluster_spec)
+        r.add("POST", "/api/cluster/validate", self._api_cluster_validate)
+        r.add("POST", "/api/cluster/reconfigure", self._api_cluster_reconfigure)
+        r.add("GET", "/api/fleet", self._api_fleet)
+
+        # --- observability ---
+        r.add("GET", "/metrics", self._metrics)
+        r.add("GET", "/debug/requests", self._debug_requests)
+        r.add("GET", "/debug/fleet", self._debug_fleet)
+
+    def _register_local_routes(self) -> None:
+        """Routes needing the home filesystem, toolchains or distributor internals."""
+        r = self.router
 
         # --- files ---
         r.add("GET", "/api/files", self._api_list_files)
@@ -285,34 +357,18 @@ class PortalApp:
         r.add("POST", "/api/files/copy", self._api_copy)
         r.add("POST", "/api/files/move", self._api_move)
         r.add("POST", "/api/files/rename", self._api_rename)
+        r.add("GET", "/api/quota", self._api_quota)
 
-        # --- compile & jobs ---
+        # --- compile, lint & explore ---
         r.add("POST", "/api/compile", self._api_compile)
         r.add("POST", "/api/lint", self._api_lint)
-        r.add("POST", "/api/jobs", self._api_submit)
-        r.add("GET", "/api/jobs", self._api_list_jobs)
-        r.add("GET", "/api/jobs/<job_id>", self._api_get_job)
-        r.add("GET", "/api/jobs/<job_id>/output", self._api_job_output)
-        r.add("POST", "/api/jobs/<job_id>/input", self._api_job_input)
-        r.add("POST", "/api/jobs/<job_id>/cancel", self._api_job_cancel)
         r.add("POST", "/api/explore", self._api_explore)
         r.add("GET", "/api/explore/<job_id>", self._api_explore_report)
 
-        # --- cluster ---
-        r.add("GET", "/api/cluster/status", self._api_cluster_status)
+        # --- distributor internals ---
         r.add("GET", "/api/cluster/accounting", self._api_cluster_accounting)
-        r.add("GET", "/api/cluster/spec", self._api_cluster_spec)
-        r.add("POST", "/api/cluster/validate", self._api_cluster_validate)
-        r.add("POST", "/api/cluster/reconfigure", self._api_cluster_reconfigure)
-        r.add("GET", "/api/fleet", self._api_fleet)
-        r.add("GET", "/api/quota", self._api_quota)
-
-        # --- observability ---
-        r.add("GET", "/metrics", self._metrics)
         r.add("GET", "/debug/trace/<job_id>", self._debug_trace)
-        r.add("GET", "/debug/requests", self._debug_requests)
         r.add("GET", "/debug/events", self._debug_events)
-        r.add("GET", "/debug/fleet", self._debug_fleet)
 
         # --- HTML pages ---
         r.add("GET", "/", self._page_dashboard)
@@ -332,8 +388,7 @@ class PortalApp:
         return resp.set_cookie(_COOKIE, token)
 
     def _api_logout(self, req: Request) -> Response:
-        token = req.cookies().get(_COOKIE, "")
-        self.sessions.destroy(token)
+        self.sessions.destroy(self._session_token(req))
         return Response.json({"ok": True}).delete_cookie(_COOKIE)
 
     def _api_whoami(self, req: Request) -> Response:
@@ -477,6 +532,18 @@ class PortalApp:
         return Response.json(report.as_dict())
 
     def _api_submit(self, req: Request) -> Response:
+        """Submit a :class:`JobRequest` wire spec (argv job) through the port."""
+        user = self._require_user(req)
+        body = req.json()
+        if not isinstance(body, dict):
+            raise HttpError(400, "job spec must be a JSON object")
+        wire = dict(body)
+        wire["owner"] = user.username  # the session decides, not the body
+        request = JobRequest.from_wire(wire)  # validate before it reaches the cluster
+        return Response.json({"job": self.port.submit(request)}, status=201)
+
+    def _api_run(self, req: Request) -> Response:
+        """Compile a source file from the user's home and run it."""
         user = self._require_user(req)
         body = req.json()
         report, job = self.jobsvc.run(
@@ -528,42 +595,49 @@ class PortalApp:
         return Response.json({"job": job.describe()}, status=201)
 
     def _api_explore_report(self, req: Request) -> Response:
-        user = self._require_user(req)
-        return Response.json(self.jobsvc.explore_report(user, req.params["job_id"]))
+        job = self.port.job_for(*self._job_target(req))
+        return Response.json(self.jobsvc.explore_report(job))
 
     def _api_list_jobs(self, req: Request) -> Response:
         user = self._require_user(req)
-        return Response.json({"jobs": self.jobsvc.list_jobs(user)})
+        view_all = user.can("view_all_jobs")
+        version, _ = self.port.control_state()
+        return self._conditional(
+            req, "jobs", ("jobs", user.username, view_all, version),
+            lambda: Response.json({"jobs": self.port.list_jobs(user.username, view_all)}),
+        )
 
     def _api_get_job(self, req: Request) -> Response:
-        user = self._require_user(req)
-        job = self.jobsvc.get_job(user, req.params["job_id"])
-        return Response.json(job.describe())
+        owner, job_id, view_all = self._job_target(req)
+        # the fingerprint doubles as the ownership check: it raises
+        # AuthorizationError before any cached bytes could leak
+        fp = self.port.output_fingerprint(owner, job_id, view_all)
+        return self._conditional(
+            req, "jobs", ("describe", job_id, fp),
+            lambda: Response.json(self.port.describe(owner, job_id, view_all)),
+        )
 
     def _api_job_output(self, req: Request) -> Response:
-        user = self._require_user(req)
+        owner, job_id, view_all = self._job_target(req)
         try:
             since = int(req.query.get("since", "0"))
         except ValueError:
             raise HttpError(400, "since must be an integer") from None
-        # ownership check always runs; the fingerprint key self-versions,
+        # ownership check as above; the fingerprint key self-versions,
         # so a quiet completed job serves 304s to its pollers
-        job = self.jobsvc.get_job(user, req.params["job_id"])
-        key = ("output", job.id, since, self.jobsvc.output_fingerprint(job))
+        fp = self.port.output_fingerprint(owner, job_id, view_all)
         return self._conditional(
-            req, "jobs", key,
-            lambda: Response.json(self.jobsvc.output_since(user, job.id, since)),
+            req, "jobs", ("output", job_id, since, fp),
+            lambda: Response.json(self.port.output_since(owner, job_id, since, view_all)),
         )
 
     def _api_job_input(self, req: Request) -> Response:
-        user = self._require_user(req)
-        self.jobsvc.send_input(user, req.params["job_id"], req.json().get("text", ""))
+        owner, job_id, view_all = self._job_target(req)
+        self.port.send_input(owner, job_id, req.json().get("text", ""), view_all)
         return Response.json({"ok": True})
 
     def _api_job_cancel(self, req: Request) -> Response:
-        user = self._require_user(req)
-        ok = self.jobsvc.cancel(user, req.params["job_id"])
-        return Response.json({"ok": ok})
+        return Response.json({"ok": self.port.cancel(*self._job_target(req))})
 
     def _api_change_password(self, req: Request) -> Response:
         user = self._require_user(req)
@@ -573,12 +647,13 @@ class PortalApp:
 
     def _api_cluster_status(self, req: Request) -> Response:
         self._require_user(req)
-        dist = self.jobsvc.distributor
         # version bumps on every job-state transition; cores_free catches
-        # out-of-band grid changes (fault injection)
-        key = ("status", dist.version, dist.grid.cores_free)
+        # out-of-band grid changes (fault injection).  Over the bus this is
+        # one tiny RPC; the full status render is paid only on change.
+        version, cores_free = self.port.control_state()
         return self._conditional(
-            req, "cluster", key, lambda: Response.json(dist.stats())
+            req, "cluster", ("status", version, cores_free),
+            lambda: Response.json(self.port.status()),
         )
 
     def _api_cluster_accounting(self, req: Request) -> Response:
@@ -606,7 +681,7 @@ class PortalApp:
     def _api_cluster_spec(self, req: Request) -> Response:
         """The live deployment serialised as a spec document."""
         self._require_user(req)
-        return Response.json({"spec": self.reconfigurer.describe()})
+        return Response.json({"spec": self.port.spec_describe()})
 
     def _api_cluster_validate(self, req: Request) -> Response:
         """Collect-all static validation of a posted spec document.
@@ -618,7 +693,7 @@ class PortalApp:
         self._require_user(req)
         body = req.json()
         doc = body.get("spec", body) if isinstance(body, dict) else body
-        return Response.json(validate_spec(doc, source="request").as_dict())
+        return Response.json(self.port.spec_validate(doc))
 
     def _api_cluster_reconfigure(self, req: Request) -> Response:
         """Plan (default) or apply a reconfiguration to the live cluster.
@@ -634,36 +709,25 @@ class PortalApp:
         doc = body.get("spec")
         if not isinstance(doc, dict):
             raise HttpError(400, 'body must carry {"spec": {...}}')
-        rc = self.reconfigurer
-        if not body.get("apply", False):
-            try:
-                plan = rc.plan(doc)
-            except SpecError as exc:
-                return Response.json(
-                    {"ok": False, "error": str(exc),
-                     "findings": [f.as_dict() for f in exc.findings]},
-                    status=400,
-                )
-            return Response.json({"ok": True, "applied": False, "plan": plan.as_dict()})
+        apply = bool(body.get("apply", False))
         try:
-            result = rc.apply(doc)
+            result = self.port.spec_reconfigure(doc, apply, True)
         except SpecError as exc:
-            status = 400 if exc.findings else 409
+            # an apply refused without findings would strand live jobs
+            status = 409 if apply and not exc.findings else 400
             return Response.json(
                 {"ok": False, "error": str(exc),
                  "findings": [f.as_dict() for f in exc.findings]},
                 status=status,
             )
-        self.cache.invalidate("cluster")
-        return Response.json({"ok": True, "applied": True, **result})
+        if apply:
+            self.cache.invalidate("cluster")
+        return Response.json({"ok": True, **result})
 
     def _api_fleet(self, req: Request) -> Response:
         """Elastic-fleet snapshot: pools, sizes, pending scale, cost."""
         self._require_user(req)
-        fleet = self.jobsvc.distributor.fleet
-        if fleet is None:
-            return Response.json({"enabled": False})
-        return Response.json(fleet.snapshot())
+        return Response.json(self.port.fleet_status())
 
     def _api_quota(self, req: Request) -> Response:
         user = self._require_user(req)
@@ -696,8 +760,7 @@ class PortalApp:
         available for every job the distributor still knows — including
         runs with telemetry disabled.
         """
-        user = self._require_user(req)
-        job = self.jobsvc.get_job(user, req.params["job_id"])
+        job = self.port.job_for(*self._job_target(req))
         root = self.jobsvc.distributor.telemetry.job_trace(job)
         if req.query.get("format") == "json":
             return Response.json({"job_id": job.id, "trace": root.as_dict()})
@@ -719,10 +782,8 @@ class PortalApp:
         """The fleet manager's scaling-decision log (admin debugging)."""
         user = self._require_user(req)
         user.require("view_all_jobs")
-        fleet = self.jobsvc.distributor.fleet
-        if fleet is None:
-            return Response.json({"enabled": False, "decisions": []})
-        return Response.json({"enabled": True, "decisions": fleet.decision_log()})
+        enabled = bool(self.port.fleet_status().get("enabled"))
+        return Response.json({"enabled": enabled, "decisions": self.port.fleet_log()})
 
     def _debug_events(self, req: Request) -> Response:
         """The distributor's structured event log (admin debugging)."""
@@ -743,20 +804,20 @@ class PortalApp:
 
         def build() -> Response:
             files = [e.as_dict() for e in self.files.list_dir(user.username)]
-            jobs = self.jobsvc.list_jobs(user)
+            jobs = self.port.list_jobs(user.username, user.can("view_all_jobs"))
             cluster = dist.grid.snapshot()
             health = dist.health.snapshot() if dist.health is not None else None
             return Response.html(
                 templates.dashboard_page(user.username, files, jobs, cluster, health=health)
             )
 
-        key = ("dash", dist.version, dist.grid.cores_free)
+        key = ("dash", *self.port.control_state())
         return self._conditional(req, f"files:{user.username}", key, build)
 
     def _page_job(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
-        job = self.jobsvc.get_job(req.user, req.params["job_id"])
+        job = self.port.job_for(*self._job_target(req))
         out, _, _ = job.stdout.text_since(0)
         err, _, _ = job.stderr.text_since(0)
         lint = self.jobsvc.lint_report(job.id)
@@ -765,10 +826,10 @@ class PortalApp:
     def _page_job_input(self, req: Request) -> Response:
         if req.user is None:
             return Response.redirect("/login")
-        job_id = req.params["job_id"]
+        owner, job_id, view_all = self._job_target(req)
         text = req.form().get("text", "")
         if text:
-            self.jobsvc.send_input(req.user, job_id, text + "\n")
+            self.port.send_input(owner, job_id, text + "\n", view_all)
         return Response.redirect(f"/jobs/{job_id}")
 
     def _page_login(self, req: Request) -> Response:
@@ -784,8 +845,7 @@ class PortalApp:
         return Response.redirect("/").set_cookie(_COOKIE, token)
 
     def _page_logout(self, req: Request) -> Response:
-        token = req.cookies().get(_COOKIE, "")
-        self.sessions.destroy(token)
+        self.sessions.destroy(self._session_token(req))
         return Response.redirect("/login").delete_cookie(_COOKIE)
 
 

@@ -190,11 +190,10 @@ class ResponseCache:
 def conditional_get(cache, counters, req, namespace: str, key, build) -> "Response":
     """Serve a cacheable GET with an ETag, honouring ``If-None-Match``.
 
-    The shared conditional-GET engine behind both the monolithic
-    :class:`~repro.portal.app.PortalApp` and the scale-out
-    :class:`~repro.portal.frontend.FrontendPortal`: probe the cache,
-    serve a 304 or the stored body on a hit; on a miss render via
-    ``build()`` and store the result *under the generation observed at
+    The conditional-GET engine behind every cacheable read of
+    :class:`~repro.portal.app.PortalApp`, on the full portal and on each
+    scale-out worker alike: probe the cache, serve a 304 or the stored
+    body on a hit; on a miss render via ``build()`` and store the result *under the generation observed at
     probe time* so a racing invalidation can never be overwritten by a
     stale render.  ``counters`` maps ``cache_hits`` / ``cache_misses`` /
     ``not_modified`` to counter children (the portal telemetry dict).

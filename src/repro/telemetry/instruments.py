@@ -492,5 +492,5 @@ class PortalTelemetry:
             span.finish(span.start + dt).set(route=route, status=status)
 
     def portal_counters(self) -> dict:
-        """The PR 2 ``stats()["portal"]`` counter block."""
+        """The portal counters ``PortalApp.stats()`` reports."""
         return {key: int(child.value) for key, child in self.c.items()}

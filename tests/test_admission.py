@@ -184,7 +184,7 @@ class TestPortalIntegration:
 
     def test_stats_expose_admission_block(self, limited_portal):
         app, _client, _admission = limited_portal
-        block = app.stats()["portal"]["admission"]
+        block = app.stats()["admission"]
         assert block["admitted"] >= 1
         assert "rejected_429_503" in block and "queue_depth" in block
 
@@ -203,7 +203,7 @@ class TestPortalIntegration:
         client.login("admin", "admin-pass")
         for _ in range(20):
             assert client.whoami()["username"] == "admin"
-        assert app.stats()["portal"]["admission"] == {"enabled": False}
+        assert app.stats()["admission"] == {"enabled": False}
 
     def test_release_runs_even_when_handler_raises(self, limited_portal):
         app, client, admission = limited_portal

@@ -17,10 +17,10 @@ from repro._errors import (
 from repro.bus import (
     ClusterBackendService,
     ClusterProxy,
+    InMemoryBackend,
     MessageBus,
     RpcClient,
     RpcServer,
-    available_backends,
     decode_wire,
     encode_wire,
 )
@@ -73,13 +73,26 @@ class TestBusCore:
         with pytest.raises(BusError):
             MessageBus().send("", "x")
 
-    def test_external_broker_backends_are_gated(self):
-        assert {"memory", "redis", "kafka"} <= set(available_backends())
-        for name in ("redis", "kafka"):
-            with pytest.raises(BusError, match="not available"):
-                MessageBus(name)
-        with pytest.raises(BusError, match="unknown bus backend"):
-            MessageBus("rabbitmq")
+    def test_substituted_backend_receives_send_and_publish(self):
+        class Recording(InMemoryBackend):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def put(self, queue, item):
+                self.calls.append(("put", queue, item))
+                super().put(queue, item)
+
+            def publish(self, topic, payload):
+                self.calls.append(("publish", topic, payload))
+                return super().publish(topic, payload)
+
+        backend = Recording()
+        bus = MessageBus(backend)
+        bus.send("q", "m")
+        bus.publish("t", "p")
+        assert backend.calls == [("put", "q", "m"), ("publish", "t", "p")]
+        assert bus.receive("q", 0.1) == "m"
 
 
 class TestWireCodec:

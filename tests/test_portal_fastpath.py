@@ -104,10 +104,10 @@ class TestConditionalGet:
     def test_conditional_client_replays_from_cache(self, fast_portal):
         app, client = fast_portal
         client.write_file("a.txt", "x")
-        before = app.stats()["portal"]["not_modified"]
+        before = app.stats()["not_modified"]
         for _ in range(5):
             assert client.read_file("a.txt") == "x"
-        stats = app.stats()["portal"]
+        stats = app.stats()
         assert stats["not_modified"] >= before + 4
         assert stats["response_cache"]["hits"] > 0
 
@@ -192,7 +192,7 @@ class TestStreamingDownload:
             n_chunks += 1
         assert total == size
         assert n_chunks >= size // CHUNK_BYTES
-        assert app.stats()["portal"]["bytes_streamed"] >= size
+        assert app.stats()["bytes_streamed"] >= size
 
     def test_304_download_streams_nothing(self, fast_portal):
         app, client = fast_portal
@@ -201,14 +201,14 @@ class TestStreamingDownload:
         path = "/api/files/content?path=blob.bin&download=1"
         _, headers, chunks = wsgi_get(app, path, token)
         assert len(b"".join(chunks)) == 100_000
-        streamed = app.stats()["portal"]["bytes_streamed"]
+        streamed = app.stats()["bytes_streamed"]
 
         status, _, chunks = wsgi_get(
             app, path, token, {"HTTP_IF_NONE_MATCH": headers["ETag"]}
         )
         assert status == 304
         assert b"".join(chunks) == b""
-        assert app.stats()["portal"]["bytes_streamed"] == streamed
+        assert app.stats()["bytes_streamed"] == streamed
 
     def test_streamed_upload_is_not_buffered_by_handler(self, fast_portal):
         _, client = fast_portal
@@ -287,7 +287,7 @@ class TestSessionSweep:
         for _ in range(10):  # > sweep_every requests force a sweep
             client.cluster_status()
         assert len(store) == 1, "expired sessions not reclaimed under load"
-        assert app.stats()["portal"]["sessions_swept"] >= 50
+        assert app.stats()["sessions_swept"] >= 50
         assert client.whoami()["username"] == "admin"  # survivor still valid
 
     def test_maybe_sweep_paced_by_op_count(self):

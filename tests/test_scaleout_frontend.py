@@ -15,7 +15,8 @@ from repro.cluster.grid import Grid
 from repro.cluster.spec import ClusterSpec
 from repro.portal import PortalClient
 from repro.portal.admission import AdmissionController
-from repro.portal.frontend import FrontendFleet, FrontendPortal, SessionReplicator
+from repro.portal.app import PortalApp
+from repro.portal.frontend import FrontendFleet, SessionReplicator
 from repro.portal.sessions import SessionStore
 
 
@@ -230,12 +231,12 @@ class TestFrontendResilience:
         fleet = FrontendFleet(_make_distributor(), n_workers=1).start()
         try:
             fleet.users.add_user("alice", "secret123")
-            worker = FrontendPortal(
-                ClusterProxy(fleet.bus, client_id="metrics-test"),
+            worker = PortalApp(
+                None,
                 fleet.users,
                 SessionStore(),
+                port=ClusterProxy(fleet.bus, client_id="metrics-test"),
                 registry=MetricsRegistry(),
-                worker_id="fx",
             )
             client = PortalClient(app=worker)
             client.login("alice", "secret123")
