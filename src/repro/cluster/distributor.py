@@ -17,13 +17,16 @@ Dispatch is *incremental and coalescing*: every trigger (submission,
 completion, fault event) marks the distributor dirty and one drain loop
 runs scheduling rounds until nothing is pending — concurrent triggers
 merge into the round already in flight instead of stacking rounds.  A
-round costs O(queue + active), not O(all jobs ever submitted): capacity
-is read through the grid's incremental index (O(1) setup per round,
-see :class:`~repro.cluster.scheduler.CapacityView`), running-job end
-estimates live in a pre-sorted structure maintained on start/finish,
-and dependency-held jobs wait in a side table so the policy never
-rescans them.  ``stats()["dispatch"]`` exposes counters (rounds, jobs
-examined, placements tried, ...) so the engine's work is observable.
+round costs O(jobs it starts + need classes + active), not O(queue):
+the policy walks the :class:`~repro.cluster.queue.JobQueue` index in its
+own order and skips whole buckets of jobs too wide for the free cores,
+capacity is read through the grid's incremental index (O(1) setup per
+round, see :class:`~repro.cluster.scheduler.CapacityView`), running-job
+end estimates live in a pre-sorted structure maintained on
+start/finish, and backing-off jobs (in the queue's heap) and
+dependency-held jobs (in a side table) are never rescanned.
+``stats()["dispatch"]`` exposes counters (rounds, jobs examined,
+placements tried, ...) so the engine's work is observable.
 
 The distributor is also the cluster's *fault-tolerance layer*:
 
@@ -83,7 +86,6 @@ from repro.cluster.scheduler import (
     FIFOScheduler,
     RunningEstimates,
     Scheduler,
-    ready_for_dispatch,
 )
 from repro.telemetry.instruments import DispatchTelemetry
 
@@ -115,6 +117,8 @@ class JobDistributor:
         #: portal's exploration workload) when the primary backend only
         #: understands argv — see :meth:`_backend_for`.
         self._callable_backend: CallableBackend | None = None
+        self._lock = threading.RLock()
+        self.queue = JobQueue()
         self.scheduler = scheduler or FIFOScheduler()
         self.now_fn = now_fn or time.monotonic
         self.monitor = monitor or ClusterMonitor()
@@ -131,10 +135,8 @@ class JobDistributor:
         #: default, the DES event queue when the backend is simulated (so
         #: backoff/timeout wake-ups ride virtual time).
         self._defer_fn = defer_fn or self._default_defer
-        self.queue = JobQueue()
         self.jobs: dict[str, Job] = {}
         self._handles: dict[str, ExecutionHandle] = {}
-        self._lock = threading.RLock()
         #: signalled whenever a job reaches a terminal state or a drain
         #: finishes — :meth:`wait_all` blocks here instead of polling.
         self._idle = threading.Condition(self._lock)
@@ -195,6 +197,17 @@ class JobDistributor:
         if journal is not None:
             journal.bind(self.telemetry.registry, clock=self.now_fn)
 
+    @property
+    def scheduler(self) -> Scheduler:
+        """The scheduling policy; assigning one re-keys the queue to its order."""
+        return self._scheduler
+
+    @scheduler.setter
+    def scheduler(self, policy: Scheduler) -> None:
+        with self._lock:
+            self._scheduler = policy
+            self.queue.rekey(policy.queue_key)
+
     # -- submission -----------------------------------------------------------
     def submit(self, request: JobRequest) -> Job:
         """Accept a request; returns the queued (or already running) Job."""
@@ -240,7 +253,7 @@ class JobDistributor:
             if request.after and self._dependency_state(job) != "ready":
                 self._held[job.id] = job  # released (or doomed) by a round
             else:
-                self.queue.push(job)
+                self.queue.push(job, job.submitted_at)
         return job
 
     def _validate(self, request: JobRequest) -> None:
@@ -331,7 +344,7 @@ class JobDistributor:
                         continue
                     del self._held[job.id]
                     if state == "ready":
-                        self.queue.push(job)
+                        self.queue.push(job, now)
                     else:  # doomed
                         job.error = "dependency failed"
                         job.try_transition(JobState.CANCELLED)
@@ -339,17 +352,18 @@ class JobDistributor:
                         if self.journal is not None:
                             self.journal.record_seal(job)
                         self.monitor.record_job(job)
-            # Jobs still serving their retry backoff are invisible to the
-            # policy; a wake-up is armed for the earliest one instead.
-            eligible, next_ready = ready_for_dispatch(self.queue.snapshot(), now)
+            # Jobs still serving their retry backoff stay in the queue's
+            # heap, invisible to the policy; a wake-up is armed for the
+            # earliest one instead.
+            next_ready = self.queue.release(now)
             if next_ready is not None:
                 self._arm_timer(next_ready)
             view = CapacityView(self.grid)
+            visited = self.queue.visited
             picks = self.scheduler.select(
-                eligible, self.grid, now=now, running=self._run_ends,
-                view=view,
+                self.queue, self.grid, now=now, running=self._run_ends, view=view,
             )
-            self._counters["jobs_examined"] += len(eligible)
+            self._counters["jobs_examined"] += self.queue.visited - visited
             self._counters["placements_tried"] += view.probes
             for job, alloc in picks:
                 if not self.queue.remove(job):
@@ -359,7 +373,7 @@ class JobDistributor:
                 except Exception:
                     # Placement raced with a node failure: requeue (the
                     # ordered queue restores its original position).
-                    self.queue.push(job)
+                    self.queue.push(job, now)
                     continue
                 job.transition(JobState.RUNNING)
                 job.started_at = self.now_fn()
@@ -517,7 +531,7 @@ class JobDistributor:
         job.exit_code = None
         job.error = None
         job.transition(JobState.QUEUED)
-        self.queue.push(job)
+        self.queue.push(job, now)
         if self.journal is not None:
             self.journal.record_requeue(job)
         self._faults["retries"] += 1
@@ -822,11 +836,14 @@ class JobDistributor:
         if self._timer_at is not None and self._timer_at <= when:
             return
         self._timer_at = when
-        self._defer_fn(max(0.0, when - self.now_fn()), self._timer_fire)
+        self._defer_fn(max(0.0, when - self.now_fn()), lambda: self._timer_fire(when))
 
-    def _timer_fire(self) -> None:
+    def _timer_fire(self, when: float) -> None:
         with self._lock:
-            self._timer_at = None
+            # Only the wake-up armed last clears the mark: a superseded
+            # later one firing must not let every round re-arm a duplicate.
+            if self._timer_at == when:
+                self._timer_at = None
         self.dispatch()
 
     def _backend_for(self, job: Job) -> ExecutionBackend:

@@ -11,16 +11,17 @@ Health-driven avoidance is free here: a DOWN, DRAINING or SUSPECT node
 exposes zero free capacity through the incremental index and drops out
 of ``up_slaves()``/``up_compute_nodes()``, so no policy ever needs to
 know *why* a node is unavailable.  Retry backoff is likewise handled
-before policies run: :func:`ready_for_dispatch` filters jobs whose
-``not_before`` lies in the future out of the round's queue snapshot.
+before policies run: jobs whose ``not_before`` lies in the future wait
+in the :class:`~repro.cluster.queue.JobQueue`'s backoff heap, outside
+the buckets a policy walks.
 
-Free capacity is read through a *capacity view* — either the legacy
-:class:`_Shadow` (a full per-round rebuild that snapshots every node) or
-the incremental :class:`CapacityView` (O(1) setup over the grid's live
-index, with a per-round overlay of tentative takes).  Both expose the
-same interface and produce identical placements; the distributor passes
-a :class:`CapacityView` per round, while direct ``select()`` calls fall
-back to a fresh ``_Shadow`` so standalone use keeps working.
+A round costs O(jobs it can start + need classes), not O(queue).  The
+queue keeps ready jobs in per-core-need buckets sorted by the policy's
+time-invariant :meth:`Scheduler.queue_key`, and each policy walks them
+lazily in that order, dropping a bucket once its need exceeds the free
+cores (a job that large can never place).  Free capacity is read
+through a :class:`CapacityView`: O(1) setup over the grid's live index,
+with a per-round overlay of tentative takes.
 
 Three policies, ablated in ``benchmarks/bench_cluster.py``:
 
@@ -36,10 +37,11 @@ Three policies, ablated in ``benchmarks/bench_cluster.py``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.cluster.grid import Grid
 from repro.cluster.job import Job, JobRequest
+from repro.cluster.queue import JobQueue
 
 __all__ = [
     "Allocation",
@@ -49,38 +51,7 @@ __all__ = [
     "FIFOScheduler",
     "PriorityScheduler",
     "BackfillScheduler",
-    "ready_for_dispatch",
 ]
-
-
-def ready_for_dispatch(queue: Sequence[Job], now: float) -> tuple[list[Job], Optional[float]]:
-    """Split backoff-delayed jobs out of a queue snapshot.
-
-    Returns ``(eligible, next_ready)``: jobs whose retry backoff has
-    elapsed (``job.not_before <= now``), in their original order, plus
-    the earliest ``not_before`` among the held-back jobs (``None`` when
-    everything is eligible) so the distributor can arm a wake-up instead
-    of polling.  A backing-off job temporarily yields its slot; once
-    eligible it re-enters at its submission-order position, so FIFO
-    fairness survives the delay.
-    """
-    eligible: Optional[list[Job]] = None  # lazily forked from the snapshot
-    next_ready: Optional[float] = None
-    for i, job in enumerate(queue):
-        nb = job.not_before
-        if nb <= now:
-            if eligible is not None:
-                eligible.append(job)
-        else:
-            if eligible is None:
-                eligible = list(queue[:i])
-            if next_ready is None or nb < next_ready:
-                next_ready = nb
-    if eligible is None:
-        # common case: nothing is backing off, the snapshot is already a
-        # private copy — reuse it instead of rebuilding the list per round
-        return list(queue) if not isinstance(queue, list) else queue, None
-    return eligible, next_ready
 
 
 @dataclass(frozen=True)
@@ -107,54 +78,6 @@ class RunningEstimates(list):
     """
 
     presorted = True
-
-
-class _Shadow:
-    """Free-capacity view rebuilt from scratch (the pre-index reference).
-
-    Walks every up node at construction — O(nodes) per scheduling round.
-    Kept as the reference implementation the equivalence tests replay
-    against; the hot path uses :class:`CapacityView` instead.
-    """
-
-    def __init__(self, grid: Grid) -> None:
-        self.grid = grid
-        self.cores: dict[str, int] = {}
-        self.memory: dict[str, int] = {}
-        self._seg_free: dict[str, int] = {s.name: 0 for s in grid.segments}
-        self._total = 0
-        self.probes = 0
-        for n in grid.up_compute_nodes():
-            self.cores[n.name] = n.cores_free
-            self.memory[n.name] = n.memory_free_mb
-            self._seg_free[n.segment] += n.cores_free
-            self._total += n.cores_free
-
-    def fits(self, node, cores: int, memory_mb: int, need_gpu: bool) -> bool:
-        if need_gpu and not node.spec.has_gpu:
-            return False
-        return (
-            self.cores.get(node.name, 0) >= cores
-            and self.memory.get(node.name, 0) >= memory_mb
-        )
-
-    def free(self, node) -> tuple[int, int]:
-        """(free cores, free memory) of ``node`` under this view."""
-        return self.cores.get(node.name, 0), self.memory.get(node.name, 0)
-
-    def seg_free_cores(self, seg) -> int:
-        """Total free cores in segment ``seg`` under this view."""
-        return self._seg_free.get(seg.name, 0)
-
-    def take(self, node_name: str, cores: int, memory_mb: int) -> None:
-        self.cores[node_name] -= cores
-        self.memory[node_name] -= memory_mb
-        self._seg_free[self.grid.node(node_name).segment] -= cores
-        self._total -= cores
-
-    @property
-    def total_free_cores(self) -> int:
-        return self._total
 
 
 class CapacityView:
@@ -206,12 +129,12 @@ class CapacityView:
         return self.grid.cores_free - self._taken_total
 
 
-def place_request(grid: Grid, request: JobRequest, shadow) -> Optional[list[tuple[str, int]]]:
-    """Find nodes for every task of ``request`` against ``shadow``.
+def place_request(grid: Grid, request: JobRequest, view) -> Optional[list[tuple[str, int]]]:
+    """Find nodes for every task of ``request`` against capacity ``view``.
 
     Returns ``[(node_name, cores), ...]`` — one entry per task — or
     ``None`` when the job cannot start now.  Does *not* mutate the
-    shadow; the caller commits with :func:`commit_placement` once it
+    view; the caller commits with :func:`commit_placement` once it
     decides to take the plan.
 
     Candidate sets are quick-rejected on aggregate free cores (a pack
@@ -224,12 +147,12 @@ def place_request(grid: Grid, request: JobRequest, shadow) -> Optional[list[tupl
     need = request.total_cores
 
     def pack(nodes) -> Optional[list[tuple[str, int]]]:
-        shadow.probes += 1
+        view.probes += 1
         plan: list[tuple[str, int]] = []
         avail: dict[str, int] = {}
         avail_mem: dict[str, int] = {}
         for n in nodes:
-            avail[n.name], avail_mem[n.name] = shadow.free(n)
+            avail[n.name], avail_mem[n.name] = view.free(n)
         for _ in range(tasks):
             chosen = None
             for n in nodes:
@@ -256,21 +179,21 @@ def place_request(grid: Grid, request: JobRequest, shadow) -> Optional[list[tupl
             continue
         if request.node_type is not None and not seg.has_type(request.node_type):
             continue
-        if shadow.seg_free_cores(seg) < need:
+        if view.seg_free_cores(seg) < need:
             continue
         plan = pack(seg.up_slaves())
         if plan is not None:
             return plan
     # 2. Fall back to the whole grid.
-    if shadow.total_free_cores < need:
+    if view.total_free_cores < need:
         return None
     return pack(grid.up_compute_nodes())
 
 
-def commit_placement(shadow, plan: list[tuple[str, int]], request: JobRequest) -> None:
-    """Deduct a accepted plan from the shadow."""
+def commit_placement(view, plan: list[tuple[str, int]], request: JobRequest) -> None:
+    """Deduct an accepted plan from the capacity view."""
     for node_name, cores in plan:
-        shadow.take(node_name, cores, request.memory_mb_per_task)
+        view.take(node_name, cores, request.memory_mb_per_task)
 
 
 def _merge_plan(plan: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
@@ -281,14 +204,31 @@ def _merge_plan(plan: list[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(merged.items()))
 
 
+def _start(grid: Grid, job: Job, view, picks: list[tuple[Job, Allocation]]) -> bool:
+    """Place ``job`` against ``view``; on success commit it and add it to
+    ``picks``.  Returns whether it was placed."""
+    plan = place_request(grid, job.request, view)
+    if plan is None:
+        return False
+    commit_placement(view, plan, job.request)
+    picks.append((job, Allocation(job.id, _merge_plan(plan))))
+    return True
+
+
 class Scheduler:
-    """Base policy. Subclasses implement :meth:`select`."""
+    """Base policy. Subclasses implement :meth:`_select` and may reorder
+    the queue through :meth:`queue_key`."""
 
     name = "base"
 
+    def queue_key(self, job: Job):
+        """The job's place in this policy's order; must not change while
+        the job waits.  Submission order unless a policy says otherwise."""
+        return job.seq
+
     def select(
         self,
-        queue: Sequence[Job],
+        queue: JobQueue | Iterable[Job],
         grid: Grid,
         now: float = 0.0,
         running: Iterable[tuple[float, int]] = (),
@@ -299,7 +239,9 @@ class Scheduler:
         Parameters
         ----------
         queue:
-            Queued jobs in submission order.
+            The ready jobs: a :class:`JobQueue` keyed by :meth:`queue_key`
+            (the distributor passes its live index), or any iterable of
+            QUEUED jobs, which is indexed into a transient queue first.
         grid:
             The machine (read-only here; the distributor commits).
         now:
@@ -310,10 +252,20 @@ class Scheduler:
             :class:`RunningEstimates` instance is trusted to be
             end-time-sorted already.
         view:
-            Optional capacity view to schedule against (the distributor
-            passes an O(1)-setup :class:`CapacityView`); ``None`` builds
-            a fresh :class:`_Shadow` rebuild.
+            Capacity view to schedule against; ``None`` opens a fresh
+            :class:`CapacityView` on ``grid``.
         """
+        if not isinstance(queue, JobQueue):
+            index = JobQueue()
+            index.rekey(self.queue_key)
+            for job in queue:
+                index.push(job)
+            queue = index
+        if view is None:
+            view = CapacityView(grid)
+        return self._select(queue, grid, now, running, view)
+
+    def _select(self, queue: JobQueue, grid: Grid, now: float, running, view):
         raise NotImplementedError
 
 
@@ -322,15 +274,11 @@ class FIFOScheduler(Scheduler):
 
     name = "fifo"
 
-    def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+    def _select(self, queue, grid, now, running, view):
         picks: list[tuple[Job, Allocation]] = []
-        for job in queue:
-            plan = place_request(grid, job.request, shadow)
-            if plan is None:
+        for job in queue.walk():
+            if not _start(grid, job, view, picks):
                 break  # head-of-line blocking is the point of FIFO
-            commit_placement(shadow, plan, job.request)
-            picks.append((job, Allocation(job.id, _merge_plan(plan))))
         return picks
 
 
@@ -342,6 +290,10 @@ class PriorityScheduler(Scheduler):
     applies the textbook fix: a job's *effective* priority grows by
     ``aging_rate`` per unit of queue wait, so everything eventually
     rises to the top.  ``aging_rate=0`` (default) is the pure policy.
+
+    Aging is linear, so ranking by effective priority at any instant is
+    ranking by ``priority - aging_rate * submitted_at``: the queue keeps
+    that order once, and no round sorts.
     """
 
     name = "priority"
@@ -359,20 +311,18 @@ class PriorityScheduler(Scheduler):
         waited = max(0.0, now - submitted)
         return job.request.priority + self.aging_rate * waited
 
-    def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+    def queue_key(self, job: Job):
+        """Highest effective priority first; a job never submitted ranks
+        as submitted at t=0."""
+        submitted = job.submitted_at if job.submitted_at is not None else 0.0
+        return (self.aging_rate * submitted - job.request.priority, job.seq)
+
+    def _select(self, queue, grid, now, running, view):
         picks: list[tuple[Job, Allocation]] = []
-        ordered = sorted(
-            enumerate(queue),
-            key=lambda p: (-self.effective_priority(p[1], now), p[0]),
-        )
-        for _, job in ordered:
-            if shadow.total_free_cores <= 0:
-                break  # nothing can place once the view is exhausted
-            plan = place_request(grid, job.request, shadow)
-            if plan is not None:
-                commit_placement(shadow, plan, job.request)
-                picks.append((job, Allocation(job.id, _merge_plan(plan))))
+        # A need above the free cores can never place (and costs no probe),
+        # so those buckets drop out; the walk ends once the view is exhausted.
+        for job in queue.walk(lambda bucket: bucket.need <= view.total_free_cores):
+            _start(grid, job, view, picks)
         return picks
 
 
@@ -389,59 +339,45 @@ class BackfillScheduler(Scheduler):
 
     name = "backfill"
 
-    #: default estimate (seconds) for jobs that carry none — None disables
-    #: backfilling such jobs entirely.
-    def __init__(self) -> None:
-        pass
-
-    def select(self, queue, grid, now=0.0, running=(), view=None):
-        shadow = view if view is not None else _Shadow(grid)
+    def _select(self, queue, grid, now, running, view):
         picks: list[tuple[Job, Allocation]] = []
-        queue = list(queue)
-
+        head = None
         # Start as many head-of-queue jobs as fit (pure FIFO part).
-        while queue:
-            job = queue[0]
-            plan = place_request(grid, job.request, shadow)
-            if plan is None:
+        for job in queue.walk():
+            if not _start(grid, job, view, picks):
+                head = job
                 break
-            commit_placement(shadow, plan, job.request)
-            picks.append((job, Allocation(job.id, _merge_plan(plan))))
-            queue.pop(0)
-
-        if not queue:
+        if head is None:
             return picks
 
-        head = queue[0]
         head_need = head.request.total_cores
-        reservation = self._reserved_start(head_need, shadow.total_free_cores, now, running)
+        reservation = self._reserved_start(head_need, view.total_free_cores, now, running)
+        if reservation is None:
+            return picks  # no candidate can be shown not to delay the head
         # Cores free at the reservation instant (current free + everything
         # that drains by then).  A candidate that still runs at that point
         # is harmless iff it fits in the slack beyond the head's need.
-        if reservation is not None:
-            drained = sum(c for end, c in running if end <= reservation)
-            free_at_reservation = shadow.total_free_cores + drained
-        else:
-            free_at_reservation = 0
+        drained = sum(c for end, c in running if end <= reservation)
+        slack = view.total_free_cores + drained - head_need
 
-        for job in queue[1:]:
-            if shadow.total_free_cores <= 0:
-                break  # no candidate can place against an exhausted view
-            est = getattr(job.request, "est_runtime_s", None)
+        def in_time(est: float) -> bool:
+            return now + est <= reservation
+
+        def narrow(bucket):
+            # Jobs wider than the slack must finish before the reservation:
+            # only those estimated in time are candidates.
+            return None if bucket.need <= slack else bucket.estimated_within(in_time)
+
+        for job in queue.walk(
+            lambda bucket: bucket.need <= view.total_free_cores,
+            after=self.queue_key(head),
+            narrow=narrow,
+        ):
+            est = job.request.est_runtime_s
             if est is None:
                 continue
-            harmless = (
-                reservation is not None
-                and job.request.total_cores <= free_at_reservation - head_need
-            )
-            finishes_in_time = reservation is not None and now + est <= reservation
-            if not (harmless or finishes_in_time):
-                continue
-            plan = place_request(grid, job.request, shadow)
-            if plan is None:
-                continue
-            commit_placement(shadow, plan, job.request)
-            picks.append((job, Allocation(job.id, _merge_plan(plan))))
+            if job.request.total_cores <= slack or in_time(est):
+                _start(grid, job, view, picks)
         return picks
 
     @staticmethod

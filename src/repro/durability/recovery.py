@@ -225,7 +225,7 @@ def recover_distributor(
                                  job.attempts[-1].error or "no retry budget after crash")
                         report.sealed_no_budget += 1
             else:  # queued (possibly in backoff)
-                dist.queue.push(job)
+                dist.queue.push(job, now)
                 if job.not_before > now:
                     dist._arm_timer(job.not_before)
                 report.requeued_queued += 1

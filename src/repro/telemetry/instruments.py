@@ -62,7 +62,7 @@ _DISPATCH_HELP = {
     "requests": "dispatch() calls (submit/completion/fault)",
     "coalesced": "dispatch requests merged into a drain in flight",
     "rounds": "scheduling rounds actually run",
-    "jobs_examined": "queue entries handed to the policy",
+    "jobs_examined": "queue entries the policy visited",
     "placements_tried": "candidate packings attempted",
     "jobs_started": "jobs handed to the execution backend",
 }

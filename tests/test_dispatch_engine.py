@@ -1,6 +1,9 @@
-"""The incremental dispatch engine: index equivalence, fault rollback,
-coalesced dispatch, event-driven wait_all, and the observability counters."""
+"""The incremental dispatch engine: equivalence with a brute-force oracle,
+per-job work that stays flat as the backlog grows, the backoff heap,
+policy swaps, fault rollback, coalesced dispatch, event-driven wait_all,
+and the observability counters."""
 
+import dataclasses
 import threading
 import time
 
@@ -22,13 +25,16 @@ from repro.cluster import (
     JobRequest,
     JobState,
     PriorityScheduler,
+    RetryPolicy,
     RunningEstimates,
     Scheduler,
     SimulatedBackend,
 )
 from repro.cluster.monitor import ClusterMonitor
-from repro.cluster.scheduler import _Shadow
+from repro.cluster.scheduler import _merge_plan, commit_placement, place_request
 from repro.desim import Simulator
+from repro.durability import DurabilityStore, JobJournal, recover_distributor
+from repro.spec import Reconfigurer, build_distributor, valid_spec
 
 N_JOBS = 400
 
@@ -60,55 +66,341 @@ def assert_capacity_consistent(grid):
         assert seg.cores_free == sum(n.cores_free for n in seg.slaves)
         assert seg.memory_free_mb == sum(n.memory_free_mb for n in seg.slaves)
     assert grid.cores_free == sum(n.cores_free for n in grid.compute_nodes())
-    # The two capacity views must agree node-for-node.
-    shadow, view = _Shadow(grid), CapacityView(grid)
-    for n in grid.up_compute_nodes():
-        assert shadow.free(n) == view.free(n)
+    # A fresh capacity view must read exactly what the up nodes hold.
+    view, up = CapacityView(grid), grid.up_compute_nodes()
+    for n in up:
+        assert view.free(n) == (n.cores_free, n.memory_free_mb)
     for seg in grid.segments:
-        assert shadow.seg_free_cores(seg) == view.seg_free_cores(seg)
-    assert shadow.total_free_cores == view.total_free_cores
+        assert view.seg_free_cores(seg) == sum(n.cores_free for n in seg.up_slaves())
+    assert view.total_free_cores == sum(n.cores_free for n in up)
+
+
+# -- the reference scheduler ---------------------------------------------------
+class FullRebuild:
+    """Free capacity snapshotted from every up node at construction — the
+    pre-index reference the incremental :class:`CapacityView` replaced."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.cores, self.memory = {}, {}
+        self._seg_free = {s.name: 0 for s in grid.segments}
+        self.total_free_cores = 0
+        self.probes = 0
+        for n in grid.up_compute_nodes():
+            self.cores[n.name] = n.cores_free
+            self.memory[n.name] = n.memory_free_mb
+            self._seg_free[n.segment] += n.cores_free
+            self.total_free_cores += n.cores_free
+
+    def free(self, node):
+        return self.cores.get(node.name, 0), self.memory.get(node.name, 0)
+
+    def seg_free_cores(self, seg):
+        return self._seg_free.get(seg.name, 0)
+
+    def take(self, node_name, cores, memory_mb):
+        self.cores[node_name] -= cores
+        self.memory[node_name] -= memory_mb
+        self._seg_free[self.grid.node(node_name).segment] -= cores
+        self.total_free_cores -= cores
+
+
+def oracle_select(policy, queued, grid, now, running):
+    """Brute-force picks: scan every queued job, drop the ones backing off,
+    sort by effective priority each round, place against a full rebuild.
+    Returns ``[(job_id, placement), ...]``."""
+    shadow = FullRebuild(grid)
+    queue = sorted((j for j in queued if j.not_before <= now), key=lambda j: j.seq)
+    picks = []
+
+    def start(job):
+        plan = place_request(grid, job.request, shadow)
+        if plan is None:
+            return False
+        commit_placement(shadow, plan, job.request)
+        picks.append((job.id, _merge_plan(plan)))
+        return True
+
+    if policy.name == "fifo":
+        for job in queue:
+            if not start(job):
+                break
+    elif policy.name == "priority":
+        ordered = sorted(
+            enumerate(queue), key=lambda p: (-policy.effective_priority(p[1], now), p[0])
+        )
+        for _, job in ordered:
+            if shadow.total_free_cores <= 0:
+                break
+            start(job)
+    else:  # backfill
+        while queue and start(queue[0]):
+            queue.pop(0)
+        if not queue:
+            return picks
+        head_need = queue[0].request.total_cores
+        reservation = BackfillScheduler._reserved_start(
+            head_need, shadow.total_free_cores, now, sorted(running)
+        )
+        free_at_reservation = 0
+        if reservation is not None:
+            drained = sum(c for end, c in running if end <= reservation)
+            free_at_reservation = shadow.total_free_cores + drained
+        for job in queue[1:]:
+            if shadow.total_free_cores <= 0:
+                break
+            est = job.request.est_runtime_s
+            if est is None:
+                continue
+            harmless = (
+                reservation is not None
+                and job.request.total_cores <= free_at_reservation - head_need
+            )
+            if harmless or (reservation is not None and now + est <= reservation):
+                start(job)
+    return picks
 
 
 class DiffingScheduler(Scheduler):
-    """Runs every round twice — old-style full `_Shadow` rebuild vs the
-    incremental `CapacityView` — and asserts identical pick sequences."""
+    """Runs every round twice — the brute-force oracle and the policy over
+    the live indexed queue — and asserts identical pick sequences."""
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
         self.rounds_diffed = 0
+        #: rounds in which some queued job was still backing off
+        self.backoff_rounds = 0
+
+    def queue_key(self, job):
+        return self.inner.queue_key(job)
 
     def select(self, queue, grid, now=0.0, running=(), view=None):
-        # Reference: fresh rebuild, plain (unsorted-contract) running list.
-        fresh = self.inner.select(list(queue), grid, now=now, running=list(running))
-        # Hot path: incremental view + presorted running estimates.
-        inc = self.inner.select(
-            queue, grid, now=now, running=running,
-            view=view if view is not None else CapacityView(grid),
+        queued = queue.snapshot()
+        expected = oracle_select(self.inner, queued, grid, now, list(running))
+        picks = self.inner.select(queue, grid, now=now, running=running, view=view)
+        assert [(j.id, a.placement) for j, a in picks] == expected, (
+            f"pick divergence under {self.name} at t={now}"
         )
-        assert [(j.id, a.placement) for j, a in fresh] == [
-            (j.id, a.placement) for j, a in inc
-        ], f"pick divergence under {self.name} at t={now}"
         self.rounds_diffed += 1
-        return inc
+        self.backoff_rounds += any(j.not_before > now for j in queued)
+        return picks
+
+
+#: submission instants of the four waves of the stream: no two are 2 or 4 s
+#: apart, so with integer priorities and aging 0.5 no two jobs of different
+#: waves tie on effective priority (a tie would be broken by rounding).
+WAVES = (0.0, 1.3, 2.9, 4.7)
+
+POLICIES = {
+    "FIFOScheduler": FIFOScheduler,
+    "PriorityScheduler-aging0": PriorityScheduler,
+    "PriorityScheduler-aging0.5": lambda: PriorityScheduler(aging_rate=0.5),
+    "BackfillScheduler": BackfillScheduler,
+}
+
+
+def run_stream(scheduler, retries=False):
+    """The seeded 400-job stream in four waves; with ``retries`` every fifth
+    job times out each attempt and retries with backoff until it runs out."""
+    sim = Simulator()
+    grid = Grid(ClusterSpec.uhd_default())
+    # Health tracking off: nodes benched for repeated timeouts would hide
+    # capacity with no wake-up to bring them back.
+    dist = JobDistributor(grid, SimulatedBackend(sim), scheduler, now_fn=lambda: sim.now,
+                          track_health=False)
+    requests = make_workload()
+    if retries:
+        policy = RetryPolicy(max_attempts=3, backoff_base_s=1.5)
+        requests = [
+            dataclasses.replace(r, timeout_s=r.sim_duration / 2, retry=policy) if i % 5 == 0
+            else r
+            for i, r in enumerate(requests)
+        ]
+
+    def feed(sim):
+        for k, at in enumerate(WAVES):
+            yield sim.timeout(at - sim.now)
+            for request in requests[k::len(WAVES)]:
+                dist.submit(request)
+
+    sim.process(feed(sim))
+    sim.run()
+    return dist
 
 
 class TestPickEquivalence:
+    @pytest.mark.parametrize("retries", [False, True], ids=["stream", "retries"])
+    @pytest.mark.parametrize("policy", list(POLICIES.values()), ids=list(POLICIES))
+    def test_incremental_index_matches_full_rebuild(self, policy, retries):
+        diffing = DiffingScheduler(policy())
+        dist = run_stream(diffing, retries)
+        assert diffing.rounds_diffed > N_JOBS  # every round was cross-checked
+        by_state = dist.monitor.summary()["by_state"]
+        if retries:
+            assert by_state == {"completed": N_JOBS - N_JOBS // 5, "timeout": N_JOBS // 5}
+            assert dist.stats()["faults"]["retries"] == 2 * (N_JOBS // 5)
+            assert diffing.backoff_rounds > 0
+        else:
+            assert by_state == {"completed": N_JOBS}
+        assert len(dist.queue) == 0
+        assert_capacity_consistent(dist.grid)
+        assert dist.grid.cores_free == dist.grid.cores_total
+
+
+class TestDispatchScaling:
     @pytest.mark.parametrize(
         "scheduler_cls", [FIFOScheduler, PriorityScheduler, BackfillScheduler]
     )
-    def test_incremental_index_matches_full_rebuild(self, scheduler_cls):
-        sim = Simulator()
-        grid = Grid(ClusterSpec.uhd_default())
-        diffing = DiffingScheduler(scheduler_cls())
-        dist = JobDistributor(grid, SimulatedBackend(sim), diffing, now_fn=lambda: sim.now)
-        for request in make_workload():
-            dist.submit(request)
+    def test_examined_per_job_flat_from_100_to_1600(self, scheduler_cls):
+        """Queue entries a policy visits per job must not grow with the
+        backlog: a round that rescans the queue makes this ratio ~N."""
+
+        def examined_per_job(n):
+            sim = Simulator()
+            dist = JobDistributor(Grid(ClusterSpec.uhd_default()), SimulatedBackend(sim),
+                                  scheduler_cls(), now_fn=lambda: sim.now)
+            for request in make_workload(n):
+                dist.submit(request)
+            sim.run()
+            assert dist.monitor.summary()["by_state"] == {"completed": n}
+            return dist.stats()["dispatch"]["jobs_examined"] / n
+
+        small, large = examined_per_job(100), examined_per_job(1600)
+        assert large <= 4 * small, f"{scheduler_cls.name}: {small:.2f} -> {large:.2f} per job"
+
+
+class TestBackoffHeap:
+    """A job serving its retry backoff waits in the queue's heap: it never
+    dispatches before ``not_before``, still counts as queued, and can be
+    cancelled, timed out or recovered from there."""
+
+    RETRY = RetryPolicy(max_attempts=2, backoff_base_s=10.0, jitter=0.0)
+
+    def backing_off(self, dist, sim, **request_kw):
+        """Submit a job whose attempts always time out at 1 s; return it at
+        t=2, backing off until t=11."""
+        job = dist.submit(JobRequest(name="flaky", sim_duration=5.0, timeout_s=1.0,
+                                     retry=self.RETRY, **request_kw))
+        sim.run(until=2.0)
+        self.assert_backing_off(dist, job, until=11.0)
+        return job
+
+    @staticmethod
+    def assert_backing_off(dist, job, until):
+        assert job.state is JobState.QUEUED and job.not_before == until
+        assert len(dist.queue) == 1 and dist.stats()["queued"] == 1
+        assert dist.queue.head() is None  # nothing is ready to walk
+
+    @staticmethod
+    def world(sim, journal=None):
+        grid = Grid(ClusterSpec.small(segments=1, slaves=2, cores=2))
+        return JobDistributor(grid, SimulatedBackend(sim), now_fn=lambda: sim.now,
+                              track_health=False, journal=journal)
+
+    def test_dispatches_once_mature_never_before(self, sim):
+        dist = self.world(sim)
+        job = self.backing_off(dist, sim)
+        sim.run(until=10.9)
+        self.assert_backing_off(dist, job, until=11.0)
+        assert len(job.attempts) == 1
         sim.run()
-        assert diffing.rounds_diffed > N_JOBS  # every round was cross-checked
-        assert dist.monitor.summary()["by_state"] == {"completed": N_JOBS}
-        assert_capacity_consistent(grid)
-        assert grid.cores_free == grid.cores_total
+        assert [a.started_at for a in job.attempts] == [0.0, 11.0]
+        assert job.state is JobState.TIMEOUT and len(dist.queue) == 0
+
+    def test_cancel_while_backing_off(self, sim):
+        dist = self.world(sim)
+        job = self.backing_off(dist, sim)
+        assert dist.cancel(job.id)
+        assert job.state is JobState.CANCELLED and len(dist.queue) == 0
+        sim.run()  # the armed wake-up fires and finds nothing
+        assert job.state is JobState.CANCELLED and len(job.attempts) == 1
+
+    def test_wallclock_timeout_while_backing_off(self, sim):
+        dist = self.world(sim)
+        job = self.backing_off(dist, sim, wallclock_timeout_s=4.0)
+        sim.run()
+        assert job.state is JobState.TIMEOUT and job.error == "wallclock timeout"
+        assert job.finished_at == 4.0 and len(job.attempts) == 1
+        assert len(dist.queue) == 0
+
+    def test_recovered_job_keeps_its_backoff(self, tmp_path):
+        sim = Simulator()
+        store = DurabilityStore(tmp_path, fsync="never")
+        job = self.backing_off(self.world(sim, JobJournal(store)), sim)
+        store.close()  # crash while the job backs off
+        sim = Simulator()  # the reboot's clock starts over at t=0
+        store = DurabilityStore(tmp_path, fsync="never")
+        try:
+            dist, report = recover_distributor(
+                store, Grid(ClusterSpec.small(segments=1, slaves=2, cores=2)),
+                SimulatedBackend(sim), now_fn=lambda: sim.now, track_health=False,
+            )
+            assert report.requeued_queued == 1
+            job = dist.jobs[job.id]
+            self.assert_backing_off(dist, job, until=11.0)
+            sim.run(until=10.9)
+            self.assert_backing_off(dist, job, until=11.0)
+            sim.run()
+            assert [a.started_at for a in job.attempts] == [0.0, 11.0]
+            assert job.state is JobState.TIMEOUT and len(dist.queue) == 0
+        finally:
+            store.close()
+
+    def test_superseded_wakeups_do_not_multiply(self, sim):
+        """Staggered run deadlines and backoffs arm many wake-ups; one
+        that an earlier arm superseded must not re-arm a duplicate each
+        time it fires (that grew without bound and stalled virtual time)."""
+        dist = self.world(sim)
+        for i in range(12):
+            dist.submit(JobRequest(name=f"t{i}", sim_duration=5.0, timeout_s=1.0 + i / 10,
+                                   retry=RetryPolicy(max_attempts=3, backoff_base_s=1.5)))
+        sim.run(max_events=20_000)
+        assert all(j.state is JobState.TIMEOUT for j in dist.jobs.values())
+        assert dist.stats()["dispatch"]["rounds"] < 500
+
+
+class TestPolicySwap:
+    def test_spec_apply_fifo_to_priority_rekeys_the_queue(self, monkeypatch):
+        sim = Simulator()
+        dist = build_distributor(valid_spec(), SimulatedBackend(sim), now_fn=lambda: sim.now)
+        assert dist.scheduler.name == "fifo"
+        for i in range(dist.grid.cores_total):
+            dist.submit(JobRequest(name=f"blocker{i}", sim_duration=10.0))
+        queued = [
+            dist.submit(JobRequest(
+                name=f"q{i}", kind=JobKind.PARALLEL if i % 3 else JobKind.SEQUENTIAL,
+                n_tasks=1 + i % 3, sim_duration=1.0, priority=(7 * i) % 5,
+            ))
+            for i in range(60)
+        ]
+        assert len(dist.queue) == 60
+
+        rc = Reconfigurer(dist)
+        desired = rc.describe()
+        desired["scheduler"] = {"policy": "priority"}
+        rc.apply(desired)
+        policy = dist.scheduler
+        assert policy.name == "priority"
+        rank = {j.id: k for k, j in enumerate(
+            sorted(queued, key=lambda j: (-j.request.priority, j.seq)))}
+        assert [rank[j.id] for j in dist.queue.walk()] == list(range(60))
+
+        rounds = []
+        select = policy.select
+
+        def checked(queue, grid, now=0.0, running=(), view=None):
+            expected = oracle_select(policy, queue.snapshot(), grid, now, list(running))
+            picks = select(queue, grid, now=now, running=running, view=view)
+            rounds.append([(j.id, a.placement) for j, a in picks])
+            assert rounds[-1] == expected, f"pick divergence at t={now}"
+            return picks
+
+        monkeypatch.setattr(policy, "select", checked)
+        sim.run()
+        picked = [[rank[job_id] for job_id, _ in picks] for picks in rounds if picks]
+        assert picked and all(ranks == sorted(ranks) for ranks in picked)
+        assert all(j.state is JobState.COMPLETED for j in queued)
 
 
 class TestReserveRollback:
