@@ -814,7 +814,8 @@ class JobDistributor:
         return node
 
     def _rejoin_probation(self, now: float) -> None:
-        """Return idle SUSPECT nodes whose quiet period elapsed (lock held)."""
+        """Return idle SUSPECT nodes whose quiet period elapsed, and arm a
+        wake-up for the next one to end while jobs wait (lock held)."""
         if self.health is None:
             return
         for name in self.health.due_probation(now):
@@ -828,6 +829,11 @@ class JobDistributor:
                 self._version += 1
                 if self.telemetry.on:
                     self.telemetry.events.emit("info", "node_rejoined", node=name)
+        # Queued work may be waiting for benched nodes, and when every node
+        # is benched no completion will start another round.
+        wake = self.health.probation_ends_after(now)
+        if wake is not None and len(self.queue):
+            self._arm_timer(wake)
 
     # -- wake-up timers ---------------------------------------------------------
     def _arm_timer(self, when: float) -> None:

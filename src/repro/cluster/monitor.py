@@ -373,11 +373,27 @@ class HealthMonitor:
             due = [
                 (entry.suspected_at, name)
                 for name, entry in self._nodes.items()
-                if entry.suspected_at is not None
-                and t - max(entry.suspected_at, entry.last_failure or 0.0)
-                >= self.policy.probation_s
+                if entry.suspected_at is not None and self._probation_end(entry) <= t
             ]
         return [name for _, name in sorted(due)]
+
+    def probation_ends_after(self, t: float) -> Optional[float]:
+        """The earliest end of a SUSPECT node's quiet period later than
+        ``t``, or ``None``: when the distributor must look again."""
+        if not self._suspects:
+            return None  # same unsynchronised fast path as due_probation
+        with self._lock:
+            ends = [
+                self._probation_end(entry)
+                for entry in self._nodes.values()
+                if entry.suspected_at is not None
+            ]
+        return min((end for end in ends if end > t), default=None)
+
+    def _probation_end(self, entry: NodeHealth) -> float:
+        # one float expression for both the due test and the wake-up time,
+        # so a round at exactly the returned end always finds the node due
+        return max(entry.suspected_at, entry.last_failure or 0.0) + self.policy.probation_s
 
     @property
     def up_fraction(self) -> float:

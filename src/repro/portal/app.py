@@ -93,7 +93,11 @@ from repro.telemetry.export import (
     render_json,
     render_prometheus,
 )
-from repro.telemetry.instruments import AnalysisTelemetry, PortalTelemetry
+from repro.telemetry.instruments import (
+    AnalysisTelemetry,
+    PortalTelemetry,
+    bind_compile_counts,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 __all__ = ["PortalApp", "make_default_app"]
@@ -181,6 +185,7 @@ class PortalApp:
             #: the explicit lint endpoint and the pre-submit pass are tallied.
             self.analysis_telemetry = AnalysisTelemetry(self.registry)
             jobsvc.analysis_telemetry = self.analysis_telemetry
+            bind_compile_counts(self.registry, jobsvc.registry.compile_counts)
             # file mutations invalidate the owning user's cached listings,
             # file contents and dashboard in O(1)
             files.on_mutation(lambda username: self.cache.invalidate(f"files:{username}"))

@@ -68,7 +68,10 @@ class JobService:
         if lang is None:
             raise CompilationError(f"cannot infer language of {rel_path!r}; pass language=")
         toolchain = self.registry.resolve(lang)
-        workdir = self.files.home(user.username) / _BUILD_DIR / source.stem
+        # one build directory per source file: ``a/lab.c``, ``b/lab.c`` and
+        # ``lab.cpp`` must not share (and overwrite) one ``lab.bin``
+        rel = source.relative_to(self.files.resolve(user.username, ""))
+        workdir = self.files.home(user.username) / _BUILD_DIR / rel
         result = toolchain.compile(source, workdir)
         report = {
             "ok": result.ok,

@@ -26,6 +26,7 @@ from repro.telemetry.tracing import Span, Tracer
 
 __all__ = [
     "AnalysisTelemetry",
+    "bind_compile_counts",
     "DispatchTelemetry",
     "DurabilityTelemetry",
     "ExploreTelemetry",
@@ -357,6 +358,20 @@ class AnalysisTelemetry:
         self.c_runs.labels(surface).inc()
         for diag in report.diagnostics:
             self.c_findings.labels(str(diag.severity)).inc()
+
+
+def bind_compile_counts(registry: MetricsRegistry, counts: Callable[[], dict]) -> None:
+    """Export gcc/g++ compile outcomes as ``repro_compile_total{outcome}``.
+
+    ``counts`` returns the toolchains' plain-int tallies (``hit``: served
+    from the compile memory, ``miss``: compiled, ``failed``); the registry
+    reads it only at scrape time, so compiling pays nothing for it.
+    """
+    family = registry.counter(
+        "repro_compile_total", "gcc/g++ compiles by outcome", labels=("outcome",)
+    )
+    for outcome in counts():
+        family.labels(outcome).set_fn(lambda o=outcome: counts()[o])
 
 
 class ExploreTelemetry:

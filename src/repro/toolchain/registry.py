@@ -7,7 +7,13 @@ from typing import Optional
 
 from repro._errors import ToolchainNotFound
 from repro.toolchain.base import Toolchain
-from repro.toolchain.real import GccToolchain, GxxToolchain, JavacToolchain
+from repro.toolchain.real import (
+    COMPILE_OUTCOMES,
+    GccToolchain,
+    GxxToolchain,
+    JavacToolchain,
+    _CCompilerBase,
+)
 from repro.toolchain.simulated import (
     SimulatedCToolchain,
     SimulatedCppToolchain,
@@ -80,6 +86,16 @@ class ToolchainRegistry:
             if tc.available():
                 return tc
         raise ToolchainNotFound(f"no available toolchain for language {language!r}")
+
+    def compile_counts(self) -> dict[str, int]:
+        """Compile outcomes summed over the registered gcc/g++ toolchains."""
+        totals = dict.fromkeys(COMPILE_OUTCOMES, 0)
+        for chain in self._chains.values():
+            for tc in chain:
+                if isinstance(tc, _CCompilerBase):
+                    for outcome, n in tc.counts.items():
+                        totals[outcome] += n
+        return totals
 
     def infer(self, path: str | Path) -> Optional[str]:
         """Language from a file name, including runtime-registered extensions."""

@@ -19,11 +19,13 @@ from repro.cluster import (
     FaultInjector,
     FIFOScheduler,
     Grid,
+    HealthPolicy,
     Job,
     JobDistributor,
     JobKind,
     JobRequest,
     JobState,
+    NodeState,
     PriorityScheduler,
     RetryPolicy,
     RunningEstimates,
@@ -205,8 +207,9 @@ def run_stream(scheduler, retries=False):
     job times out each attempt and retries with backoff until it runs out."""
     sim = Simulator()
     grid = Grid(ClusterSpec.uhd_default())
-    # Health tracking off: nodes benched for repeated timeouts would hide
-    # capacity with no wake-up to bring them back.
+    # Health tracking off: nodes benched for repeated timeouts would still
+    # hide their cores when the run ends (no round runs once the queue is
+    # empty), and the end-of-run capacity check wants every core back.
     dist = JobDistributor(grid, SimulatedBackend(sim), scheduler, now_fn=lambda: sim.now,
                           track_health=False)
     requests = make_workload()
@@ -358,6 +361,33 @@ class TestBackoffHeap:
         sim.run(max_events=20_000)
         assert all(j.state is JobState.TIMEOUT for j in dist.jobs.values())
         assert dist.stats()["dispatch"]["rounds"] < 500
+
+
+class TestProbationWakeup:
+    # (0.2 + 0.5) - 0.2 < 0.5 in floating point: the wake-up round at the
+    # end of probation must still find the nodes due
+    @pytest.mark.parametrize("timeout_s, probation_s", [(1.0, 30.0), (0.2, 0.5)])
+    def test_jobs_queued_behind_a_fully_benched_grid_run_after_probation(
+        self, sim, timeout_s, probation_s
+    ):
+        """Timeouts bench every node; the queued jobs wait until the end of
+        probation, when a wake-up round lets the nodes rejoin."""
+        grid = Grid(ClusterSpec.small(segments=1, slaves=2, cores=2))
+        policy = HealthPolicy(suspect_after=1, probation_s=probation_s)
+        dist = JobDistributor(grid, SimulatedBackend(sim), now_fn=lambda: sim.now,
+                              health_policy=policy)
+        bad = [dist.submit(JobRequest(name=f"hang{i}", sim_duration=5.0, timeout_s=timeout_s))
+               for i in range(4)]
+        good = [dist.submit(JobRequest(name=f"ok{i}", sim_duration=2.0)) for i in range(3)]
+        sim.run(until=timeout_s + 0.1)
+        assert all(n.state is NodeState.SUSPECT for n in grid.compute_nodes())
+        assert len(dist.queue) == 3 and grid.cores_free == 0
+        sim.run()
+        assert all(j.state is JobState.TIMEOUT for j in bad)
+        assert all(j.state is JobState.COMPLETED for j in good)
+        assert {j.started_at for j in good} == {timeout_s + probation_s}
+        assert dist.stats()["faults"]["nodes_rejoined"] == 2
+        assert grid.cores_free == grid.cores_total
 
 
 class TestPolicySwap:

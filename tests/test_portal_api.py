@@ -105,6 +105,22 @@ class TestCompileAndJobs:
         again = student_client.job_output(job_id, since=out["next"])
         assert again["stdout"] == []
 
+    def test_same_stem_sources_build_apart(self, student_client):
+        """``a/lab.c`` and ``b/lab.c`` queued together each run their own
+        binary, not one shared ``.build/lab/lab.bin``."""
+        c = student_client
+        c.write_file("hold.c", "#include <unistd.h>\nint main(void){ sleep(30); return 0; }\n")
+        hold = c.submit_job("hold.c", kind="parallel", n_tasks=8, timeout_s=60)["job"]["id"]
+        jobs = {}
+        for d in ("a", "b"):
+            c.mkdir(d)
+            c.write_file(f"{d}/lab.c", self.C_OK.replace("ran on cluster", f"from {d}"))
+            jobs[d] = c.submit_job(f"{d}/lab.c")["job"]["id"]
+        assert c.cancel_job(hold)
+        for d, job_id in jobs.items():
+            assert c.wait_for_job(job_id, timeout=60)["state"] == "completed"
+            assert c.job_output(job_id)["stdout"] == [f"from {d}"]
+
     def test_job_listing_scoped_to_owner(self, portal_app, admin_client, student_client):
         student_client.write_file("mine.c", self.C_OK)
         student_client.submit_job("mine.c")
